@@ -5,7 +5,7 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke
+	fed-smoke golden golden-update
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke
@@ -34,23 +34,27 @@ race:
 race-shuffle:
 	go test -race -shuffle=on ./internal/experiment/... ./internal/runner/...
 
-# Short live-fuzz pass over every fuzz target (the committed seed corpus
-# already replays in `make test`).
-fuzz:
+# Short live-fuzz pass, 30 s over every fuzz target, on top of the
+# committed seed corpus that already replays in `make test`. fuzz-smoke is
+# tier-1's name for the same pass.
+fuzz fuzz-smoke:
 	go test ./internal/scenario/ -fuzz FuzzLoad -fuzztime 30s
 	go test ./internal/scenario/ -fuzz FuzzBudgetSchedule -fuzztime 30s
 	go test ./internal/scenario/ -fuzz FuzzPolicySpec -fuzztime 30s
 	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime 30s
 	go test ./internal/whatif/ -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 30s
 
-# Tier-1's fuzz gate: a quick live pass over each target on top of the
-# committed-corpus replay, short enough to keep the merge gate fast.
-fuzz-smoke:
-	go test ./internal/scenario/ -fuzz FuzzLoad -fuzztime 30s
-	go test ./internal/scenario/ -fuzz FuzzBudgetSchedule -fuzztime 30s
-	go test ./internal/scenario/ -fuzz FuzzPolicySpec -fuzztime 30s
-	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime 30s
-	go test ./internal/whatif/ -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 30s
+# Paper-output golden: every experiment at -quick, run in-process, diffed
+# byte for byte against results/golden_quick.txt (produced on linux/amd64).
+# The same test runs in `make test` and `make race`. Re-bless only through
+# golden-update, with a CHANGES.md line naming the numbers that moved and
+# why.
+golden:
+	go test ./cmd/ampere-exp/ -run TestGoldenQuick -count=1
+
+golden-update:
+	go run ./cmd/ampere-exp -exp all -quick > results/golden_quick.txt.new
+	mv results/golden_quick.txt.new results/golden_quick.txt
 
 # The grid-event resilience experiment: the same 20% curtailment as a cliff
 # and ramp-limited, quick scale (full 100k: `go run ./cmd/ampere-exp -exp

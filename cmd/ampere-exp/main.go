@@ -48,19 +48,15 @@ type runCtx struct {
 	outDir      string
 	parallel    int
 	ctlParallel int
+	// timing receives wall-clock notes (per-size scale timings); stdout
+	// stays deterministic.
+	timing io.Writer
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1..fig12, table2, table3, all)")
-	quick := flag.Bool("quick", false, "shrunken fast configuration")
-	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = per-experiment default)")
-	out := flag.String("out", "", "directory to also write plot-ready CSV series into")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent runs (1 = serial)")
-	ctlParallel := flag.Int("ctl-parallel", 0,
-		"controller plan-phase workers per domain set (0/1 = serial, -1 = all CPUs); output is identical at any value")
-	flag.Parse()
-
-	runners := map[string]func(io.Writer, runCtx) error{
+// runners maps every experiment id to its runner; order is the `-exp all`
+// sequence, which is also the order reports are printed in.
+var (
+	runners = map[string]func(io.Writer, runCtx) error{
 		"fig1":       runFig1,
 		"fig2":       runFig2,
 		"fig4":       runFig4,
@@ -83,9 +79,20 @@ func main() {
 		"whatif":     runWhatif,
 		"tournament": runTournament,
 	}
-	order := []string{"fig1", "fig2", "fig4", "fig5", "fig7", "fig8", "fig9",
+	order = []string{"fig1", "fig2", "fig4", "fig5", "fig7", "fig8", "fig9",
 		"table2", "fig11", "fig11scale", "fig12", "table3", "spread", "outage", "chaos",
 		"ablations", "scale", "gridstorm", "whatif", "tournament"}
+)
+
+func main() {
+	exp := flag.String("exp", "all", "experiment id (fig1..fig12, table2, table3, all)")
+	quick := flag.Bool("quick", false, "shrunken fast configuration")
+	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = per-experiment default)")
+	out := flag.String("out", "", "directory to also write plot-ready CSV series into")
+	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent runs (1 = serial)")
+	ctlParallel := flag.Int("ctl-parallel", 0,
+		"controller plan-phase workers per domain set (0/1 = serial, -1 = all CPUs); output is identical at any value")
+	flag.Parse()
 
 	var ids []string
 	if *exp == "all" {
@@ -97,10 +104,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	rc := runCtx{quick: *quick, seed: *seed, outDir: *out, parallel: *parallel, ctlParallel: *ctlParallel}
+	rc := runCtx{quick: *quick, seed: *seed, outDir: *out, parallel: *parallel,
+		ctlParallel: *ctlParallel, timing: os.Stderr}
+	if err := runExperiments(os.Stdout, os.Stderr, ids, rc); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	// Each experiment renders into its own buffer; buffers are printed in
-	// the fixed order above, so stdout does not depend on completion order.
+// runExperiments runs ids and writes their reports to stdout in the given
+// order, each followed by a blank line; progress notes go to progress. Each
+// experiment renders into its own buffer, so stdout does not depend on
+// completion order. Reports of experiments that succeeded are written even
+// when another one fails; the first error is returned.
+func runExperiments(stdout, progress io.Writer, ids []string, rc runCtx) error {
 	units := make([]runner.Unit[[]byte], len(ids))
 	for i, id := range ids {
 		id := id
@@ -117,24 +134,21 @@ func main() {
 		OnDone: func(r runner.Report) {
 			switch {
 			case r.Skipped:
-				fmt.Fprintf(os.Stderr, "  [%s skipped]\n", r.Name)
+				fmt.Fprintf(progress, "  [%s skipped]\n", r.Name)
 			case r.Err != nil:
-				fmt.Fprintf(os.Stderr, "  [%s failed after %.1fs: %v]\n", r.Name, r.Elapsed.Seconds(), r.Err)
+				fmt.Fprintf(progress, "  [%s failed after %.1fs: %v]\n", r.Name, r.Elapsed.Seconds(), r.Err)
 			default:
-				fmt.Fprintf(os.Stderr, "  [%s completed in %.1fs]\n", r.Name, r.Elapsed.Seconds())
+				fmt.Fprintf(progress, "  [%s completed in %.1fs]\n", r.Name, r.Elapsed.Seconds())
 			}
 		},
 	})
 	for _, b := range bufs {
 		if len(b) > 0 {
-			os.Stdout.Write(b)
-			fmt.Println()
+			stdout.Write(b)
+			fmt.Fprintln(stdout)
 		}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return err
 }
 
 func pick(seed, def uint64) uint64 {
@@ -440,7 +454,7 @@ func runScale(w io.Writer, rc runCtx) error {
 		return err
 	}
 	experiment.FormatScale(w, rows)
-	experiment.FormatScaleTiming(os.Stderr, rows, cfg.Measure)
+	experiment.FormatScaleTiming(rc.timing, rows, cfg.Measure)
 
 	fcfg := experiment.DefaultFedScale()
 	if rc.quick {
@@ -455,7 +469,7 @@ func runScale(w io.Writer, rc runCtx) error {
 	}
 	fmt.Fprintln(w)
 	experiment.FormatFedScale(w, fres)
-	experiment.FormatFedScaleTiming(os.Stderr, fres)
+	experiment.FormatFedScaleTiming(rc.timing, fres)
 	return nil
 }
 

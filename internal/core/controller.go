@@ -410,7 +410,7 @@ type Controller struct {
 	cfg     Config
 	res     ResilienceConfig // cfg.Resilience with defaults resolved
 	domains []*domainState
-	handle  *sim.Handle
+	handle  sim.Handle
 	selRNG  *rand.Rand // only used by SelectRandom
 	ins     *instrumentation
 	// Strategy axes resolved from cfg by Config.policies (strategy.go):
@@ -537,7 +537,7 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 // (the first monitor sample must exist first; start the monitor at time
 // zero and the controller immediately after).
 func (c *Controller) Start() {
-	if c.handle != nil {
+	if c.handle.Valid() {
 		return
 	}
 	c.handle = c.eng.Every(c.eng.Now(), c.cfg.Interval, "ampere-controller", c.Step)
@@ -545,10 +545,16 @@ func (c *Controller) Start() {
 
 // Stop halts the loop, leaving the current frozen set in place.
 func (c *Controller) Stop() {
-	if c.handle != nil {
-		c.handle.Cancel()
-		c.handle = nil
-	}
+	c.handle.Cancel()
+}
+
+// Close stops the controller and releases the plan-phase worker goroutines
+// that Config.Parallel > 1 parks between ticks; a discarded controller must
+// be closed or those goroutines keep it alive. Accessors stay valid, and a
+// Step after Close plans serially.
+func (c *Controller) Close() {
+	c.Stop()
+	c.loop.Close()
 }
 
 // Stats returns a copy of domain i's counters.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -237,5 +239,46 @@ func TestZeroServerDomainRejected(t *testing.T) {
 	d := Domain{Name: "empty", Servers: []cluster.ServerID{}, BudgetW: 100}
 	if _, err := New(eng, reader, api, DefaultConfig(), []Domain{d}); err == nil {
 		t.Fatal("domain with zero servers accepted")
+	}
+}
+
+// A discarded parallel controller must not leave its plan-phase workers
+// parked: after Close the goroutine count is back at its baseline, and the
+// controller still steps (serially).
+func TestControllerCloseReleasesWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := DefaultConfig()
+	cfg.Parallel = 4
+	reader := &scriptReader{}
+	var doms []Domain
+	for d := 0; d < scriptDomains; d++ {
+		servers := make([]cluster.ServerID, scriptServersPerDomain)
+		for i := range servers {
+			servers[i] = cluster.ServerID(d*scriptServersPerDomain + i)
+		}
+		reader.domains = append(reader.domains, servers)
+		doms = append(doms, Domain{Name: fmt.Sprintf("dom%d", d), Servers: servers,
+			BudgetW: float64(scriptServersPerDomain) * 10.5, Kr: 0.10})
+	}
+	ctl, err := New(sim.NewEngine(), reader, newFakeAPI(), cfg, doms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Step(0)
+	// Step caps its fan-out at GOMAXPROCS, so one CPU parks no workers.
+	if got := runtime.NumGoroutine(); runtime.GOMAXPROCS(0) > 1 && got <= base {
+		t.Fatalf("%d goroutines after a parallel Step, baseline %d: no workers parked", got, base)
+	}
+	ctl.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctl.Step(sim.Time(sim.Minute))
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("Step after Close spawned workers: %d goroutines, baseline %d", got, base)
 	}
 }

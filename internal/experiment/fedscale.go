@@ -94,6 +94,7 @@ func RunFedScale(cfg FedScaleConfig) (*FedScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer fed.Close()
 	wallStart := time.Now()
 	if errs, err := fed.Advance(warmupE); err != nil {
 		return nil, err

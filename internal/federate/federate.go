@@ -360,15 +360,26 @@ func New(cfg Config) (*Federation, error) {
 	if pinned {
 		f.phase = phasePin
 		f.loop.Run(f.workers(), len(f.DCs))
-		for i, dc := range f.DCs {
+		for _, dc := range f.DCs {
 			if len(dc.batchErrs) > 0 {
+				f.Close()
 				return nil, fmt.Errorf("federate: DC %q pin op %d: %w",
 					dc.Name, dc.batchErrs[0].Index, dc.batchErrs[0].Err)
 			}
-			_ = i
 		}
 	}
 	return f, nil
+}
+
+// Close releases the shard worker goroutines the federation and its DC
+// controllers park between epochs; a discarded Federation must be closed or
+// those goroutines keep every shard alive. Accessors stay valid, and an
+// Advance after Close runs the shards serially.
+func (f *Federation) Close() {
+	f.loop.Close()
+	for _, dc := range f.DCs {
+		dc.Ctl.Close()
+	}
 }
 
 func (f *Federation) workers() int {

@@ -3,6 +3,7 @@ package federate
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // testConfig is a small heterogeneous federation: four 80-server-row DCs
@@ -45,7 +46,39 @@ func run(t *testing.T, workers, ctlParallel int) string {
 	if errs, err := f.Advance(8); err != nil || len(errs) != 0 {
 		t.Fatalf("advance: errs=%v err=%v", errs, err)
 	}
+	defer f.Close()
 	return f.Fingerprint()
+}
+
+// A discarded federation must not leave shard or controller workers
+// parked: after Close the goroutine count is back at its baseline, and a
+// further Advance still runs (serially).
+func TestFederationCloseReleasesWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	f, err := New(testConfig(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs, err := f.Advance(2); err != nil || len(errs) != 0 {
+		t.Fatalf("advance: errs=%v err=%v", errs, err)
+	}
+	if got := runtime.NumGoroutine(); got <= base {
+		t.Fatalf("%d goroutines after a parallel Advance, baseline %d: no workers parked", got, base)
+	}
+	f.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if errs, err := f.Advance(1); err != nil || len(errs) != 0 {
+		t.Fatalf("advance after Close: errs=%v err=%v", errs, err)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("Advance after Close spawned workers: %d goroutines, baseline %d", got, base)
+	}
 }
 
 // TestFederatedTickByteIdentity is the §7/§11 contract at the federation

@@ -88,7 +88,7 @@ type Monitor struct {
 	rackNames   []string
 	serverNames []string
 
-	handle   *sim.Handle
+	handle   sim.Handle
 	onSample []func(now sim.Time)
 	met      *metrics
 }
@@ -176,7 +176,7 @@ func (m *Monitor) SetStore(s Store) { m.store = s }
 // Start the monitor before any component that consumes its samples in the
 // same interval, so sweeps always precede consumers deterministically.
 func (m *Monitor) Start() {
-	if m.handle != nil {
+	if m.handle.Valid() {
 		return
 	}
 	m.handle = m.eng.Every(m.eng.Now(), m.cfg.Interval, "power-monitor", m.Sweep)
@@ -184,10 +184,7 @@ func (m *Monitor) Start() {
 
 // Stop halts sampling.
 func (m *Monitor) Stop() {
-	if m.handle != nil {
-		m.handle.Cancel()
-		m.handle = nil
-	}
+	m.handle.Cancel()
 }
 
 // OnSample registers a callback invoked after every sweep. Experiment

@@ -19,9 +19,11 @@ import (
 // state owned by its index (stage results per index and apply them in index
 // order afterwards, the same discipline as Run's index-ordered collection).
 //
-// A Loop parks its helper goroutines for its own lifetime; create one per
-// long-lived consumer (the controller owns one), not per call. Run must not
-// be called concurrently with itself.
+// A Loop parks its helper goroutines until Close; create one per
+// long-lived consumer (the controller owns one), not per call, and Close it
+// when the consumer is discarded — parked helpers keep the Loop, its body
+// and everything the body reaches alive. Run must not be called
+// concurrently with itself or with Close.
 type Loop struct {
 	body    func(int)
 	next    atomic.Int64
@@ -30,7 +32,9 @@ type Loop struct {
 	wg      sync.WaitGroup
 	pan     atomic.Pointer[loopPanic]
 	wake    chan struct{}
-	spawned int // parked helper goroutines
+	spawned int            // parked helper goroutines
+	exited  sync.WaitGroup // one per spawned helper, done when it exits
+	closed  bool
 }
 
 // loopPanic carries the first body panic to the calling goroutine.
@@ -48,9 +52,9 @@ func NewLoop(body func(int)) *Loop {
 
 // Run executes body(0) … body(n-1) on up to workers goroutines (the caller
 // counts as one) and returns when all calls finished. workers ≤ 1 (or
-// n ≤ 1) runs inline on the calling goroutine. A body panic is re-raised on
-// the calling goroutine as a *PanicError attributing the index, after the
-// remaining workers drain.
+// n ≤ 1) runs inline on the calling goroutine, as does every Run after
+// Close. A body panic is re-raised on the calling goroutine as a
+// *PanicError attributing the index, after the remaining workers drain.
 func (l *Loop) Run(workers, n int) {
 	if n <= 0 {
 		return
@@ -58,7 +62,7 @@ func (l *Loop) Run(workers, n int) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
+	if workers <= 1 || l.closed {
 		for i := 0; i < n; i++ {
 			l.body(i)
 		}
@@ -78,6 +82,7 @@ func (l *Loop) Run(workers, n int) {
 	l.next.Store(0)
 	helpers := workers - 1
 	for l.spawned < helpers {
+		l.exited.Add(1)
 		go l.idleWorker()
 		l.spawned++
 	}
@@ -92,8 +97,21 @@ func (l *Loop) Run(workers, n int) {
 	}
 }
 
+// Close releases the parked helper goroutines and returns once they have
+// exited. It is idempotent; later Run calls execute inline.
+func (l *Loop) Close() {
+	if l.closed {
+		return
+	}
+	l.closed = true
+	close(l.wake)
+	l.exited.Wait()
+}
+
 // idleWorker parks between Run calls; each wake token covers one stride.
+// It exits when Close closes the wake channel.
 func (l *Loop) idleWorker() {
+	defer l.exited.Done()
 	for range l.wake {
 		l.stride()
 		l.wg.Done()

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Every index must be visited exactly once per Run, at any worker count,
@@ -78,5 +79,41 @@ func TestLoopPanicPropagates(t *testing.T) {
 	l2.Run(3, 30)
 	if count.Load() != 30 {
 		t.Fatalf("post-panic reuse ran %d bodies, want 30", count.Load())
+	}
+}
+
+// waitGoroutines polls until the process is back to at most base goroutines:
+// a closed Loop's helpers have signalled their exit, but the runtime may
+// retire them a moment later.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Close must release every parked helper, be idempotent, and leave the
+// Loop usable inline.
+func TestLoopCloseReleasesWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var sum atomic.Int64
+	l := NewLoop(func(i int) { sum.Add(int64(i)) })
+	l.Run(4, 100)
+	if got := runtime.NumGoroutine(); got < base+3 {
+		t.Fatalf("%d goroutines after a 4-worker Run, want ≥ %d parked helpers", got, base+3)
+	}
+	l.Close()
+	l.Close()
+	waitGoroutines(t, base)
+	l.Run(4, 100)
+	if got := sum.Load(); got != 2*4950 {
+		t.Fatalf("sum %d after two runs, want %d", got, 2*4950)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("Run after Close spawned helpers: %d goroutines, baseline %d", got, base)
 	}
 }

@@ -124,7 +124,14 @@ type Scheduler struct {
 	fitFn         func(r int) int
 	utilFn        func(r int) float64
 
-	running map[cluster.ServerID][]*runningJob
+	// jobs is the slab of running jobs, recycled through freeJobs; a job's
+	// completion event carries its slab slot. running[id] lists the slots
+	// of the jobs executing on server id (swap-removed on completion, so
+	// iteration order is a pure function of the event history).
+	jobs       []runningJob
+	freeJobs   []int32
+	running    [][]int32
+	completeFn sim.SlotEvent
 
 	stats   Stats
 	met     *metrics
@@ -134,6 +141,10 @@ type Scheduler struct {
 	onComplete func(j *workload.Job, s *cluster.Server)
 }
 
+// maxPresizedRunning bounds the per-server running-list capacity New
+// reserves up front.
+const maxPresizedRunning = 16
+
 type runningJob struct {
 	job    *workload.Job
 	server *cluster.Server
@@ -141,8 +152,8 @@ type runningJob struct {
 	remainingMS float64
 	startedAt   sim.Time
 	lastUpdate  sim.Time
-	handle      *sim.Handle
-	idx         int // index in running[server]
+	handle      sim.Handle
+	idx         int32 // index in running[server.ID]
 }
 
 // New builds a scheduler over c using the given placement policy (RandomFit
@@ -162,7 +173,6 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 		policy:     policy,
 		avail:      make([][]*cluster.Server, c.Rows()),
 		pos:        make([]int, len(c.Servers)),
-		running:    make(map[cluster.ServerID][]*runningJob),
 		enqueuedAt: make(map[int64]sim.Time),
 		waitHist:   waitHist,
 	}
@@ -176,6 +186,21 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 	s.eligScratch = make([]int, 0, c.Rows())
 	s.fitFn = func(r int) int { return s.fitScratch[r] }
 	s.utilFn = s.RowUtilization
+	s.completeFn = s.complete
+	// A server runs at most one job per container, so carving every
+	// server's list from one backing array with that capacity means placing
+	// a job never grows one. The carve is bounded so a spec with very many
+	// containers per server does not reserve memory it may never use; lists
+	// beyond it grow on their own.
+	per := c.Spec.Containers
+	if per > maxPresizedRunning {
+		per = maxPresizedRunning
+	}
+	backing := make([]int32, len(c.Servers)*per)
+	s.running = make([][]int32, len(c.Servers))
+	for i := range s.running {
+		s.running[i] = backing[i*per : i*per : (i+1)*per]
+	}
 	for _, sv := range c.Servers {
 		s.addAvail(sv)
 		s.capRow[sv.Row] += c.Spec.Containers
@@ -668,44 +693,59 @@ func (s *Scheduler) place(j *workload.Job, sv *cluster.Server) {
 		s.met.placed.Inc()
 	}
 
-	rj := &runningJob{
+	var slot int32
+	if n := len(s.freeJobs); n > 0 {
+		slot = s.freeJobs[n-1]
+		s.freeJobs = s.freeJobs[:n-1]
+	} else {
+		slot = int32(len(s.jobs))
+		s.jobs = append(s.jobs, runningJob{})
+	}
+	list := s.running[sv.ID]
+	s.jobs[slot] = runningJob{
 		job:         j,
 		server:      sv,
 		remainingMS: float64(j.Work),
 		startedAt:   s.eng.Now(),
 		lastUpdate:  s.eng.Now(),
+		idx:         int32(len(list)),
 	}
-	list := s.running[sv.ID]
-	rj.idx = len(list)
-	s.running[sv.ID] = append(list, rj)
-	s.scheduleCompletion(rj)
+	s.running[sv.ID] = append(list, slot)
+	s.scheduleCompletion(slot)
 
 	if s.onPlace != nil {
 		s.onPlace(j, sv)
 	}
 }
 
-func (s *Scheduler) scheduleCompletion(rj *runningJob) {
+func (s *Scheduler) scheduleCompletion(slot int32) {
+	rj := &s.jobs[slot]
 	speed := rj.server.Speed()
 	wall := sim.Duration(rj.remainingMS/speed + 0.5)
 	if wall < 0 {
 		wall = 0
 	}
-	rj.handle = s.eng.After(wall, "job-complete", func(now sim.Time) { s.complete(rj, now) })
+	rj.handle = s.eng.AfterSlot(wall, "job-complete", s.completeFn, slot)
 }
 
-func (s *Scheduler) complete(rj *runningJob, now sim.Time) {
+// freeJob returns a slab slot for reuse, dropping its references.
+func (s *Scheduler) freeJob(slot int32) {
+	s.jobs[slot] = runningJob{}
+	s.freeJobs = append(s.freeJobs, slot)
+}
+
+// complete is the typed completion event of the job in slab slot slot.
+func (s *Scheduler) complete(now sim.Time, slot int32) {
+	rj := s.jobs[slot]
 	sv := rj.server
 	// Remove from the per-server list (swap-remove, index-tracked).
 	list := s.running[sv.ID]
 	last := len(list) - 1
 	moved := list[last]
 	list[rj.idx] = moved
-	moved.idx = rj.idx
+	s.jobs[moved].idx = rj.idx
 	s.running[sv.ID] = list[:last]
-	if last == 0 {
-		delete(s.running, sv.ID)
-	}
+	s.freeJob(slot)
 
 	sv.Release(rj.job.Containers, rj.job.CPU)
 	s.busyRow[sv.Row] -= rj.job.Containers
@@ -728,7 +768,8 @@ func (s *Scheduler) complete(rj *runningJob, now sim.Time) {
 // work at the old speed, and the remainder is replayed at the new speed.
 func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 	now := s.eng.Now()
-	for _, rj := range s.running[sv.ID] {
+	for _, slot := range s.running[sv.ID] {
+		rj := &s.jobs[slot]
 		elapsed := float64(now.Sub(rj.lastUpdate))
 		rj.remainingMS -= elapsed * oldSpeed
 		if rj.remainingMS < 0 {
@@ -736,12 +777,18 @@ func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 		}
 		rj.lastUpdate = now
 		rj.handle.Cancel()
-		s.scheduleCompletion(rj)
+		s.scheduleCompletion(slot)
 	}
 }
 
-// RunningJobs returns the number of jobs currently executing on sv.
-func (s *Scheduler) RunningJobs(id cluster.ServerID) int { return len(s.running[id]) }
+// RunningJobs returns the number of jobs currently executing on server id,
+// and 0 for an ID outside the cluster.
+func (s *Scheduler) RunningJobs(id cluster.ServerID) int {
+	if int(id) < 0 || int(id) >= len(s.running) {
+		return 0
+	}
+	return len(s.running[id])
+}
 
 // Reserve permanently allocates containers on a specific server, bypassing
 // placement. The service substrate uses it to pin long-running
@@ -780,7 +827,8 @@ func (s *Scheduler) FailServer(id cluster.ServerID) error {
 	if sv.Failed() {
 		return fmt.Errorf("scheduler: server %d already failed", id)
 	}
-	for _, rj := range s.running[sv.ID] {
+	for _, slot := range s.running[sv.ID] {
+		rj := &s.jobs[slot]
 		rj.handle.Cancel()
 		sv.Release(rj.job.Containers, rj.job.CPU)
 		s.busyRow[sv.Row] -= rj.job.Containers
@@ -788,8 +836,9 @@ func (s *Scheduler) FailServer(id cluster.ServerID) error {
 		if s.met != nil {
 			s.met.killed.Inc()
 		}
+		s.freeJob(slot)
 	}
-	delete(s.running, sv.ID)
+	s.running[sv.ID] = s.running[sv.ID][:0]
 	sv.SetFailed(true)
 	s.refreshAvail(sv)
 	return nil

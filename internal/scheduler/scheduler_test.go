@@ -510,3 +510,65 @@ func TestOversizedJobRejected(t *testing.T) {
 		t.Errorf("zero-container job not rejected: %d", got)
 	}
 }
+
+// RunningJobs answers 0 for an ID outside the cluster, as it did when the
+// running set was a map, rather than indexing past the per-server table.
+func TestRunningJobsUnknownServer(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newTestCluster(t, 1, 1, 2)
+	s := New(eng, c, 1, nil)
+	s.Submit(batchJob(1, sim.Minute, 1))
+	for _, id := range []cluster.ServerID{-1, 2, 1 << 20} {
+		if n := s.RunningJobs(id); n != 0 {
+			t.Errorf("RunningJobs(%d) = %d, want 0", id, n)
+		}
+	}
+	if n := s.RunningJobs(0) + s.RunningJobs(1); n != 1 {
+		t.Fatalf("running on the cluster = %d, want 1", n)
+	}
+}
+
+// Slab slots freed by completions and by a server failure are reused
+// without crossing wires: killed jobs never complete, survivors complete
+// exactly once, and a DVFS change re-times only live completions.
+func TestRunningSlabReuseAcrossFailure(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newTestCluster(t, 1, 1, 2)
+	s := New(eng, c, 1, nil)
+	completed := map[int64]int{}
+	s.OnComplete(func(j *workload.Job, _ *cluster.Server) { completed[j.ID]++ })
+	for id := int64(0); id < 8; id++ {
+		s.Submit(batchJob(id, sim.Duration(id+1)*sim.Minute, 1))
+	}
+	if err := eng.RunUntil(sim.Time(90 * sim.Second)); err != nil { // job 0 done
+		t.Fatal(err)
+	}
+	victim := cluster.ServerID(0)
+	killed := s.RunningJobs(victim)
+	if killed == 0 {
+		t.Fatal("nothing runs on the victim server; the test needs a kill")
+	}
+	if err := s.FailServer(victim); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(8); id < 12; id++ { // reuse the freed slots
+		s.Submit(batchJob(id, sim.Minute, 1))
+	}
+	sv := c.Server(1)
+	sv.ApplyCap(sv.IdleW() + (sv.DemandW()-sv.IdleW())*0.5)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if int(st.Killed) != killed || st.Completed+st.Killed != 12 {
+		t.Fatalf("completed %d + killed %d (RunningJobs said %d), want 12 total", st.Completed, st.Killed, killed)
+	}
+	for id, n := range completed {
+		if n != 1 {
+			t.Errorf("job %d completed %d times", id, n)
+		}
+	}
+	if s.RunningJobs(0)+s.RunningJobs(1) != 0 {
+		t.Error("jobs still running after the queue drained")
+	}
+}

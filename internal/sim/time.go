@@ -3,6 +3,26 @@
 // reproducible random-number streams. All other substrates in this repository
 // (cluster, workload, scheduler, monitor, controller) are driven by one
 // Engine so that every experiment is exactly reproducible from a seed.
+//
+// Events fire in (time, scheduling sequence) order: ties at one timestamp
+// fire in the order they were scheduled, and a periodic event's next firing
+// is sequenced when the current one fires, before its callback runs.
+//
+// Scheduling returns a Handle, a value that can cancel the event. The zero
+// Handle refers to no event: Cancel on it is a no-op and Valid reports
+// false, so a component can hold a Handle field without a nil check. A
+// handle is bound to one event by a generation number; once the event has
+// fired or been cancelled, the handle cannot touch whatever event reuses
+// its slot.
+//
+// Cancelling does not shrink the queue at once: the cancelled entry stays
+// until it reaches the front and is dropped there. Pending counts those
+// stale entries too.
+//
+// Hot callers schedule typed events with AtSlot/AfterSlot: one pre-bound
+// SlotEvent plus an int32 index into the caller's own slab of pending work,
+// so an event costs no closure. Steady-state scheduling, firing and
+// cancelling allocate nothing.
 package sim
 
 import "fmt"

@@ -169,8 +169,15 @@ type Generator struct {
 	rngs      []*rand.Rand // one per product
 	wobble    []*wobbleState
 	nextID    int64
-	handle    *sim.Handle
+	handle    sim.Handle
 	generated int64
+
+	// pending[slot] is a generated job waiting for its arrival event, which
+	// carries the slot; freed slots are recycled through free, so arrivals
+	// cost the engine no closure or handle allocation.
+	pending  []*Job
+	free     []int32
+	arriveFn sim.SlotEvent
 }
 
 type wobbleState struct {
@@ -199,12 +206,13 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		g.rngs[i] = sim.SubRNG(seed, fmt.Sprintf("product-%d-%s", i, products[i].Name))
 		g.wobble[i] = &wobbleState{surgeMult: 1}
 	}
+	g.arriveFn = g.arrive
 	return g, nil
 }
 
 // Start begins emitting jobs every minute, beginning immediately.
 func (g *Generator) Start() {
-	if g.handle != nil {
+	if g.handle.Valid() {
 		return
 	}
 	g.handle = g.eng.Every(g.eng.Now(), sim.Minute, "workload-tick", g.tick)
@@ -213,10 +221,7 @@ func (g *Generator) Start() {
 // Stop halts emission. Already-scheduled arrivals within the current minute
 // still fire.
 func (g *Generator) Stop() {
-	if g.handle != nil {
-		g.handle.Cancel()
-		g.handle = nil
-	}
+	g.handle.Cancel()
 }
 
 // Generated returns the number of jobs emitted so far.
@@ -304,10 +309,29 @@ func (g *Generator) tick(now sim.Time) {
 			g.generated++
 			at := now.Add(sim.Duration(r.Int63n(int64(sim.Minute))))
 			job.Arrival = at
-			jb := job
-			g.eng.At(at, "job-arrival", func(sim.Time) { g.sink(jb) })
+			g.eng.AtSlot(at, "job-arrival", g.arriveFn, g.hold(job))
 		}
 	}
+}
+
+// hold parks j in the pending slab until its arrival fires.
+func (g *Generator) hold(j *Job) int32 {
+	if n := len(g.free); n > 0 {
+		slot := g.free[n-1]
+		g.free = g.free[:n-1]
+		g.pending[slot] = j
+		return slot
+	}
+	g.pending = append(g.pending, j)
+	return int32(len(g.pending) - 1)
+}
+
+// arrive is the typed arrival event: it hands the parked job to the sink.
+func (g *Generator) arrive(_ sim.Time, slot int32) {
+	j := g.pending[slot]
+	g.pending[slot] = nil
+	g.free = append(g.free, slot)
+	g.sink(j)
 }
 
 // RateForPowerFraction computes the per-server arrival rate (jobs per minute

@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -123,20 +124,32 @@ func BenchmarkScaleSweep(b *testing.B) {
 // BenchmarkScalePlacement measures one job submission end to end. Cost is
 // O(rows) per placement (the cached per-row fit counts), so ns/op should
 // grow with row count but stay far below linear in servers.
+//
+// Before timing, it pins the allocation contract of the job path: once the
+// engine's slot slab and heap and the scheduler's running-job slab have
+// grown, a submission plus its completion allocates at most the one Job
+// the bench itself builds — placement, the typed completion event and the
+// running-job bookkeeping recycle their storage.
 func BenchmarkScalePlacement(b *testing.B) {
+	const jobAllocCeiling = 1
 	for _, pt := range scalePoints {
 		b.Run(pt.name, func(b *testing.B) {
-			eng := sim.NewEngine()
-			c := scaleCluster(b, pt.rows)
-			s := scheduler.New(eng, c, 1, nil)
+			var (
+				eng *sim.Engine
+				s   *scheduler.Scheduler
+				r   *rand.Rand
+				i   int
+			)
 			dd := workload.DefaultDurations()
-			r := sim.NewRNG(2)
+			reset := func() {
+				eng = sim.NewEngine()
+				s = scheduler.New(eng, scaleCluster(b, pt.rows), 1, nil)
+				r, i = sim.NewRNG(2), 0
+			}
 			// Drain often enough that even the 400-server fleet never
 			// saturates within one drain interval.
 			drainEvery := 256 * pt.rows
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			submit := func() {
 				s.Submit(&workload.Job{
 					ID: int64(i), Kind: workload.Batch, Product: -1,
 					Work: dd.Sample(r), CPU: 1, Containers: 1,
@@ -144,6 +157,28 @@ func BenchmarkScalePlacement(b *testing.B) {
 				if i%drainEvery == drainEvery-1 {
 					eng.RunUntil(eng.Now().Add(20 * sim.Minute))
 				}
+				i++
+			}
+			// Warm, then measure, over a few drain intervals, capped so the
+			// largest fleets stay affordable.
+			window := 8 * drainEvery
+			if window > 1<<16 {
+				window = 1 << 16
+			}
+			reset()
+			for k := 0; k < window; k++ {
+				submit()
+			}
+			if allocs := testing.AllocsPerRun(window, submit); allocs > jobAllocCeiling {
+				b.Fatalf("steady-state submit+completion allocates %.1f objects, ceiling %d (the Job)",
+					allocs, jobAllocCeiling)
+			}
+			// Time from a fresh fleet, as the recorded baseline does.
+			reset()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				submit()
 			}
 		})
 	}
