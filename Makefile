@@ -5,7 +5,7 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden golden-update
+	fed-smoke golden golden-update golden-full golden-full-update
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke
@@ -55,6 +55,18 @@ golden:
 golden-update:
 	go run ./cmd/ampere-exp -exp all -quick > results/golden_quick.txt.new
 	mv results/golden_quick.txt.new results/golden_quick.txt
+
+# Full-scale golden: every experiment recorded in
+# results/exp_full_output.txt, run at paper scale one process at a time, its
+# stdout diffed byte for byte against that file (~15 min; timing lines go to
+# stderr). Required for changes to the engine, scheduler, controller or
+# stack assembly. Re-bless only through golden-full-update, with a
+# CHANGES.md line naming the numbers that moved and why.
+golden-full:
+	sh scripts/golden_full
+
+golden-full-update:
+	sh scripts/golden_full -update
 
 # The grid-event resilience experiment: the same 20% curtailment as a cliff
 # and ramp-limited, quick scale (full 100k: `go run ./cmd/ampere-exp -exp
@@ -109,6 +121,11 @@ fed-smoke:
 	go test ./internal/federate/ -count=1
 	go test ./internal/experiment/ -run TestFedScaleSmoke -count=1
 
+# Machine stamp for the first record of every bench JSON (goos, goarch and
+# CPU come from the go test header).
+BENCH_STAMP = -v nproc="$$(getconf _NPROCESSORS_ONLN)" \
+	-v commit="$$(git describe --always --dirty 2>/dev/null || echo unknown)"
+
 # Weak-scaling baseline: the BenchmarkScale{Sweep,Placement,ControllerTick}
 # family at 400 / 10k / 100k servers, recorded to BENCH_scale.json for
 # regression comparison (see docs/OPERATIONS.md for how to read it). Three
@@ -116,7 +133,7 @@ fed-smoke:
 # run on a shared machine doesn't poison the baseline.
 bench-scale:
 	go test -run '^$$' -bench 'BenchmarkScale' -count=3 -benchmem . | tee BENCH_scale.txt
-	awk -f scripts/bench_to_json.awk BENCH_scale.txt > BENCH_scale.json
+	awk $(BENCH_STAMP) -f scripts/bench_to_json.awk BENCH_scale.txt > BENCH_scale.json
 	rm -f BENCH_scale.txt
 
 # One-row smoke of the scale family (part of tier1): exercises every scale
@@ -133,7 +150,7 @@ bench-scale-quick:
 # change moves the numbers.
 bench-check:
 	go test -run '^$$' -bench 'BenchmarkScale' -count=3 -benchmem . > BENCH_fresh.txt
-	awk -f scripts/bench_to_json.awk BENCH_fresh.txt > BENCH_fresh.json
+	awk $(BENCH_STAMP) -f scripts/bench_to_json.awk BENCH_fresh.txt > BENCH_fresh.json
 	rm -f BENCH_fresh.txt
 	sh scripts/bench_compare BENCH_fresh.json BENCH_scale.json
 	rm -f BENCH_fresh.json

@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -389,7 +390,7 @@ func BenchmarkControllerStep(b *testing.B) {
 		c.Servers[i].Allocate(8+i%8, float64(8+i%8))
 	}
 	ctl, err := core.New(eng, mon, s, core.DefaultConfig(), []core.Domain{{
-		Name: "row", Servers: ids, BudgetW: sp.RowRatedPowerW() / 1.25, Kr: 0.012,
+		Name: "row", Servers: ids, BudgetW: sp.RowRatedPowerW() / 1.25,
 	}})
 	if err != nil {
 		b.Fatal(err)
@@ -464,15 +465,14 @@ func BenchmarkWorkloadGeneratorDay(b *testing.B) {
 // TSDB, scheduler, breakers, chaos injector). The ISSUE acceptance bound is
 // < 1 ms per scrape.
 func BenchmarkMetricsScrape(b *testing.B) {
-	spec := cluster.DefaultSpec()
-	spec.Rows = 2
-	spec.RacksPerRow = 10
-	spec.ServersPerRack = 20
-
+	spec, err := stack.RowSpec(2, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
 	dd := workload.DefaultDurations()
 	perServer := workload.RateForPowerFraction(0.75, spec.IdlePowerW, spec.RatedPowerW,
 		spec.Containers, dd.Mean()*0.95, 1.0)
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:    1,
 		Cluster: spec,
 		Products: []workload.Product{
@@ -486,16 +486,12 @@ func BenchmarkMetricsScrape(b *testing.B) {
 	rig.Mon.Instrument(reg)
 	rig.DB.Instrument(reg)
 	rig.Sched.Instrument(reg, journal)
-	rig.StartBase()
+	rig.Start()
 	budget := spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, spec.Rows)
 	for r := 0; r < spec.Rows; r++ {
-		var ids []cluster.ServerID
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: ids,
-			BudgetW: budget, Kr: experiment.DefaultKr}
+		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r),
+			BudgetW: budget}
 	}
 	ctl, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(), domains)
 	if err != nil {

@@ -52,11 +52,9 @@ func (ws *whatifServer) builder(end sim.Time) whatif.Builder {
 			breakers[r] = whatif.NamedBreaker{Name: fmt.Sprintf("row/%d", r), B: sk.breakers[r]}
 		}
 		return &whatif.Instance{
-			Eng:      sk.rig.Eng,
+			Stack:    sk.rig,
 			Journal:  journal,
 			Ctl:      sk.ctl,
-			Cluster:  sk.rig.Cluster,
-			Mon:      sk.rig.Mon,
 			Breakers: breakers,
 			End:      end,
 			Interval: sim.Minute,
@@ -64,18 +62,6 @@ func (ws *whatifServer) builder(end sim.Time) whatif.Builder {
 			ConfigTag: fmt.Sprintf("powermon seed=%d rows=%dx%d target=%g ro=%g dr=%g/%g/%g/%g ctlpar=%d",
 				cfg.seed, cfg.rows, cfg.rowServers, cfg.target, cfg.ro,
 				cfg.drAt, cfg.drDepth, cfg.drDwell, cfg.drRamp, cfg.ctlParallel),
-			RunUntil: sk.rig.Run,
-			KPIs: func() map[string]float64 {
-				s := sk.rig.Sched.Stats()
-				return map[string]float64{
-					"jobs_submitted": float64(s.Submitted),
-					"jobs_placed":    float64(s.Placed),
-					"jobs_completed": float64(s.Completed),
-					"jobs_queued":    float64(s.Queued),
-					"jobs_overflow":  float64(s.Overflowed),
-					"jobs_killed":    float64(s.Killed),
-				}
-			},
 		}, nil
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/monitor"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -77,15 +76,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ids := make([]cluster.ServerID, len(c.Servers))
-	for i := range ids {
-		ids[i] = cluster.ServerID(i)
-	}
 	budget := spec.RowRatedPowerW() / 1.25
 	// The controller receives only a PowerReader and the two-call
 	// FreezeAPI; it has no idea rackPacker exists.
 	ctl, err := core.New(eng, mon, sched, core.DefaultConfig(), []core.Domain{{
-		Name: "row/0", Servers: ids, BudgetW: budget, Kr: experiment.DefaultKr,
+		Name: "row/0", Servers: c.RowIDs(0), BudgetW: budget,
 	}})
 	if err != nil {
 		log.Fatal(err)

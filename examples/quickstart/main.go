@@ -49,17 +49,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Over-provision by 25%: the enforced budget is rated/(1+0.25).
-	ids := make([]cluster.ServerID, len(c.Servers))
-	for i := range ids {
-		ids[i] = cluster.ServerID(i)
-	}
+	// Over-provision by 25%: the enforced budget is rated/(1+0.25). The
+	// domain leaves Kr zero, so the controller uses the gradient calibrated
+	// by experiment.RunFig5 (core.DefaultConfig's DefaultKr).
 	budget := spec.RowRatedPowerW() / 1.25
 	ctl, err := core.New(eng, mon, sched, core.DefaultConfig(), []core.Domain{{
 		Name:    "row/0",
-		Servers: ids,
+		Servers: c.RowIDs(0),
 		BudgetW: budget,
-		Kr:      0.012, // calibrated with experiment.RunFig5
 	}})
 	if err != nil {
 		log.Fatal(err)

@@ -87,7 +87,11 @@ type Config struct {
 	// once; the paper's deployment limits it to 0.5 for operational
 	// reasons, at the cost of a rare violation under extreme surges.
 	MaxFreezeRatio float64
-	// DefaultKr is used by domains with Kr == 0.
+	// DefaultKr is used by domains with Kr == 0. DefaultConfig sets the
+	// control-effect gradient measured by the Fig 5 calibration
+	// (experiment.RunFig5) on the default rig, see EXPERIMENTS.md;
+	// production deployments should calibrate against their own workload,
+	// exactly as the paper does.
 	DefaultKr float64
 	// EtPercentile and EtDefault configure the online HourlyEt estimators
 	// created for domains with Et == nil.
@@ -183,7 +187,7 @@ func DefaultConfig() Config {
 		Interval:       sim.Minute,
 		RStable:        0.8,
 		MaxFreezeRatio: 0.5,
-		DefaultKr:      0.10,
+		DefaultKr:      0.012,
 		EtPercentile:   99.5,
 		EtDefault:      0.05,
 		EtMinSamples:   30,

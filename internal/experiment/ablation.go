@@ -241,7 +241,7 @@ func runCappingVariant(cfg AblationConfig, name string, mode capping.Mode, amper
 	for _, id := range ctrl.Groups.Exp {
 		servers = append(servers, rig.Cluster.Server(id))
 	}
-	rig.StartBase()
+	rig.Start()
 	if err := rig.Run(sim.Time(base.Warmup + base.Pretrain)); err != nil {
 		return nil, err
 	}

@@ -9,11 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultKr is the control-effect gradient measured by RunFig5 on the
-// default rig (see EXPERIMENTS.md). Experiments use it when no freshly
-// calibrated value is supplied; production deployments should calibrate
-// with RunFig5 against their own workload, exactly as the paper does.
-const DefaultKr = 0.012
+// DefaultKr aliases core.DefaultConfig's calibrated control-effect
+// gradient, the one every domain with Kr == 0 gets. The end-to-end
+// benchmark (perfbench) names it explicitly.
+var DefaultKr = core.DefaultConfig().DefaultKr
 
 // Fig5Config parameterizes the f(u) identification experiment of §3.4.
 type Fig5Config struct {
@@ -95,7 +94,7 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(cfg.Warmup)); err != nil {
 		return nil, err
 	}

@@ -203,7 +203,7 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	}
 	brk.Start()
 
-	rig.StartBase()
+	rig.Start()
 	if err := rig.Run(start); err != nil {
 		return nil, chaos.Plan{}, err
 	}
@@ -220,10 +220,6 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 		return nil, chaos.Plan{}, err
 	}
 
-	kr := cfg.Kr
-	if kr == 0 {
-		kr = DefaultKr
-	}
 	// The controller enforces PM a little below the audited budget — the
 	// §3.2 operator safety margin — so boundary-riding control jitter does
 	// not register as violations against the real limit.
@@ -239,7 +235,7 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	ccfg.Parallel = cfg.CtlParallel
 	newController := func() (*core.Controller, error) {
 		return core.New(rig.Eng, reader, api, ccfg,
-			[]core.Domain{{Name: "exp-group", Servers: ctrl.Groups.Exp, BudgetW: ctlBudget, Kr: kr, Et: et}})
+			[]core.Domain{{Name: "exp-group", Servers: ctrl.Groups.Exp, BudgetW: ctlBudget, Kr: cfg.Kr, Et: et}})
 	}
 	controller, err := newController()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -32,7 +33,7 @@ func runMultiDomainRig(t *testing.T, ctlParallel int) string {
 	perServer := workload.RateForPowerFraction(0.8, spec.IdlePowerW, spec.RatedPowerW,
 		spec.Containers, dd.Mean()*0.95, 1.0)
 	product := workload.DefaultProduct("mixed", perServer*float64(spec.TotalServers()))
-	rig, err := NewRig(RigConfig{Seed: 21, Cluster: spec, Products: []workload.Product{product}})
+	rig, err := stack.New(stack.Config{Seed: 21, Cluster: spec, Products: []workload.Product{product}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +41,8 @@ func runMultiDomainRig(t *testing.T, ctlParallel int) string {
 	budget := spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, spec.Rows)
 	for r := 0; r < spec.Rows; r++ {
-		var ids []cluster.ServerID
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
 		domains[r] = core.Domain{
-			Name: fmt.Sprintf("row/%d", r), Servers: ids, BudgetW: budget, Kr: DefaultKr,
+			Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r), BudgetW: budget,
 		}
 	}
 	ccfg := core.DefaultConfig()
@@ -57,7 +54,7 @@ func runMultiDomainRig(t *testing.T, ctlParallel int) string {
 	journal := obs.NewJournal(4 * 121)
 	ctl.Instrument(nil, journal)
 	ctl.Start()
-	rig.StartBase()
+	rig.Start()
 	if err := rig.Run(sim.Time(2 * sim.Hour)); err != nil {
 		t.Fatal(err)
 	}

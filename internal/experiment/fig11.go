@@ -164,10 +164,6 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 	}
 	rig := ctrl.Rig
 	row := rig.Cluster.Row(0)
-	rowIDs := make([]cluster.ServerID, len(row))
-	for i, sv := range row {
-		rowIDs[i] = sv.ID
-	}
 	rowBudget := ctrl.ExpBudgetW + ctrl.CtrlBudgetW
 
 	// Pin the service instances, spread evenly across the row.
@@ -190,7 +186,7 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 		return nil, err
 	}
 
-	rig.StartBase()
+	rig.Start()
 	if err := rig.Run(sim.Time(warmup + pretrain)); err != nil {
 		return nil, err
 	}
@@ -216,15 +212,11 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 		if err != nil {
 			return nil, err
 		}
-		kr := cfg.Kr
-		if kr == 0 {
-			kr = DefaultKr
-		}
 		controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(), []core.Domain{{
 			Name:    "row/0",
-			Servers: rowIDs,
+			Servers: rig.Cluster.RowIDs(0),
 			BudgetW: rowBudget,
-			Kr:      kr,
+			Kr:      cfg.Kr,
 			Et:      et,
 		}})
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -261,17 +262,17 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		peak -= 24
 	}
 
-	spec := quickRowSpec(cfg.Rows, cfg.RowServers)
-	meanDur := truncatedMeanMinutes(workload.DefaultDurations())
+	spec, err := stack.RowSpec(cfg.Rows, cfg.RowServers)
+	if err != nil {
+		return nil, err
+	}
 	hotServers := cfg.ServiceRows * cfg.RowServers
 	baseServers := (cfg.Rows - cfg.ServiceRows) * cfg.RowServers
-	hot := workload.DefaultProduct("svc-batch", workload.RateForPowerFraction(
-		cfg.HotBatchFrac, spec.IdlePowerW, spec.RatedPowerW, spec.Containers, meanDur, 1.0)*float64(hotServers))
+	hot := workload.DefaultProduct("svc-batch", stack.PerServerRate(spec, cfg.HotBatchFrac)*float64(hotServers))
 	hot.DiurnalAmplitude = cfg.DiurnalAmplitude
 	hot.PeakHour = peak
 	hot.SurgeProb = 0
-	base := workload.DefaultProduct("base", workload.RateForPowerFraction(
-		cfg.BaseBatchFrac, spec.IdlePowerW, spec.RatedPowerW, spec.Containers, meanDur, 1.0)*float64(baseServers))
+	base := workload.DefaultProduct("base", stack.PerServerRate(spec, cfg.BaseBatchFrac)*float64(baseServers))
 	// Hold the absorbers steady: their role is guaranteed headroom.
 	base.DiurnalAmplitude = 0
 	base.SurgeProb = 0
@@ -289,7 +290,7 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		}
 	}
 
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:           cfg.Seed,
 		Cluster:        spec,
 		Products:       []workload.Product{hot, base},
@@ -345,19 +346,11 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 
 	var ctl *core.Controller
 	if ampere {
-		kr := cfg.Kr
-		if kr == 0 {
-			kr = DefaultKr
-		}
 		cdom := make([]core.Domain, cfg.ServiceRows)
 		for r := 0; r < cfg.ServiceRows; r++ {
-			ids := make([]cluster.ServerID, 0, cfg.RowServers)
-			for _, sv := range rig.Cluster.Row(r) {
-				ids = append(ids, sv.ID)
-			}
 			cdom[r] = core.Domain{
-				Name: fmt.Sprintf("row%d", r), Servers: ids,
-				BudgetW: rowBudget * gridMargin, Kr: kr,
+				Name: fmt.Sprintf("row%d", r), Servers: rig.Cluster.RowIDs(r),
+				BudgetW: rowBudget * gridMargin, Kr: cfg.Kr,
 				Et: core.ConstantEt(0.03),
 			}
 		}
@@ -380,7 +373,7 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		})
 	}
 
-	rig.StartBase()
+	rig.Start()
 	if ctl != nil {
 		ctl.Start()
 	}

@@ -13,7 +13,7 @@ import (
 // long-term power-history collection), then a measured control span.
 type AmpereRunConfig struct {
 	Controlled ControlledConfig
-	// Kr is the control-model gradient (0 selects DefaultKr, the value
+	// Kr is the control-model gradient (0 selects core's DefaultKr, the value
 	// calibrated by RunFig5 on the default rig).
 	Kr             float64
 	Warmup         sim.Duration // default 2 h
@@ -40,9 +40,6 @@ func (c *AmpereRunConfig) setDefaults() {
 	}
 	if c.Measure == 0 {
 		c.Measure = 24 * sim.Hour
-	}
-	if c.Kr == 0 {
-		c.Kr = DefaultKr
 	}
 	if c.MaxFreezeRatio == 0 {
 		c.MaxFreezeRatio = 0.5
@@ -79,7 +76,7 @@ func RunAmpere(cfg AmpereRunConfig) (*AmpereRun, error) {
 		return controller.FreezeRatio(0)
 	})
 
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(cfg.Warmup + cfg.Pretrain)); err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -71,7 +72,7 @@ type GridstormConfig struct {
 	// CurtailedFrac is the fraction of rows on the curtailed feeder
 	// (rounded to at least one row).
 	CurtailedFrac float64
-	// Kr is the control-effect gradient (0 = DefaultKr).
+	// Kr is the control-effect gradient (0 = core's DefaultKr).
 	Kr float64
 	// Warmup lets the fleet reach steady state before anything is measured.
 	Warmup sim.Duration
@@ -224,7 +225,7 @@ type gridstormStack struct {
 	curtailed int
 	rowBudget float64
 
-	rig      *Rig
+	rig      *stack.Stack
 	tracker  *Tracker
 	ctl      *core.Controller
 	breakers []*breaker.Breaker
@@ -256,15 +257,16 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	}
 	curtailed := st.curtailed
 
-	spec := quickRowSpec(cfg.Rows, cfg.RowServers)
-	perServer := workload.RateForPowerFraction(cfg.TargetFrac, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("grid", perServer*float64(spec.TotalServers()))
+	spec, err := stack.RowSpec(cfg.Rows, cfg.RowServers)
+	if err != nil {
+		return nil, err
+	}
+	prod := workload.DefaultProduct("grid", stack.PerServerRate(spec, cfg.TargetFrac)*float64(spec.TotalServers()))
 	// A grid event is the variable under test; hold the demand side steady.
 	prod.DiurnalAmplitude = 0
 	prod.SurgeProb = 0
 
-	rig, err := NewRig(RigConfig{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
+	rig, err := stack.New(stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		return nil, err
 	}
@@ -277,11 +279,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 
 	groups := make([]Group, cfg.Rows)
 	for r := 0; r < cfg.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, cfg.RowServers)
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		groups[r] = Group{Name: fmt.Sprintf("row%d", r), IDs: ids, BudgetW: rowBudget}
+		groups[r] = Group{Name: fmt.Sprintf("row%d", r), IDs: rig.Cluster.RowIDs(r), BudgetW: rowBudget}
 	}
 	tracker, err := NewTracker(rig, groups)
 	if err != nil {
@@ -337,10 +335,6 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	// One controller, one domain per row, enforcing the margined envelope.
 	// The ramp regime's schedule has no steps: it is purely the per-tick
 	// ramp limit applied to the SetBudget overrides the storm driver issues.
-	kr := cfg.Kr
-	if kr == 0 {
-		kr = DefaultKr
-	}
 	var sched *core.BudgetSchedule
 	if ramped {
 		sched = &core.BudgetSchedule{RampFrac: cfg.DipDepth / float64(cfg.RampMinutes)}
@@ -349,7 +343,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	for r := 0; r < cfg.Rows; r++ {
 		domains[r] = core.Domain{
 			Name: groups[r].Name, Servers: groups[r].IDs,
-			BudgetW: rowBudget * gridMargin, Kr: kr,
+			BudgetW: rowBudget * gridMargin, Kr: cfg.Kr,
 			Et: core.ConstantEt(0.03), Schedule: sched,
 		}
 	}
@@ -429,7 +423,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	// Start order at each minute boundary: monitor sweep (fresh samples and
 	// tracker budgets recorded), then the storm driver (envelope moves),
 	// then breaker evaluations, then the control tick.
-	rig.StartBase()
+	rig.Start()
 	inj.DriveBudget(0, sim.Minute, func(now sim.Time, mult float64) {
 		for r := 0; r < curtailed; r++ {
 			env := mult * rowBudget

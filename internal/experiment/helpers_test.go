@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func TestSplitByParity(t *testing.T) {
@@ -43,20 +42,6 @@ func TestSplitByParity(t *testing.T) {
 	}
 }
 
-func TestTruncatedMeanMinutes(t *testing.T) {
-	dd := workload.DefaultDurations()
-	m := truncatedMeanMinutes(dd)
-	// Slightly below the analytic untruncated mean of 9, well above the
-	// median.
-	if m < 7.5 || m > 9.0 {
-		t.Errorf("truncated mean %.2f, want in [7.5, 9.0]", m)
-	}
-	// Deterministic: the fixed-seed Monte Carlo always agrees with itself.
-	if m2 := truncatedMeanMinutes(dd); m2 != m {
-		t.Errorf("not deterministic: %v vs %v", m, m2)
-	}
-}
-
 func TestTrackerIndexAt(t *testing.T) {
 	ctrl, err := NewControlled(ControlledConfig{
 		Seed: 2, RowServers: 40, RestRows: 1, TargetPowerFrac: 0.7,
@@ -64,7 +49,7 @@ func TestTrackerIndexAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(10 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +124,7 @@ func TestNormPowerSeriesZeroBudget(t *testing.T) {
 	// sample time.
 	tr := ctrl.Tracker
 	tr.SetGroupBudget(GExp, 0)
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(10 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +156,7 @@ func TestPlacedBetweenBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(30 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +199,7 @@ func TestTrackerTimeVaryingBudget(t *testing.T) {
 	if base <= 0 {
 		t.Fatalf("controlled setup has no experiment budget")
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(5 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}

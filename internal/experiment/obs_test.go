@@ -12,13 +12,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
 // newObservedRig assembles a small fully instrumented deployment the way
 // cmd/powermon does: monitor, TSDB, scheduler, controller, observational
 // breakers, and an empty-plan chaos injector all registered on one registry.
-func newObservedRig(t *testing.T) (*Rig, *obs.Registry, *obs.Journal) {
+func newObservedRig(t *testing.T) (*stack.Stack, *obs.Registry, *obs.Journal) {
 	t.Helper()
 	spec := cluster.DefaultSpec()
 	spec.Rows = 2
@@ -30,7 +31,7 @@ func newObservedRig(t *testing.T) (*Rig, *obs.Registry, *obs.Journal) {
 		spec.Containers, dd.Mean()*0.95, 1.0)
 	product := workload.DefaultProduct("mixed", perServer*float64(spec.TotalServers()))
 
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:     7,
 		Cluster:  spec,
 		Products: []workload.Product{product},
@@ -59,7 +60,7 @@ func newObservedRig(t *testing.T) (*Rig, *obs.Registry, *obs.Journal) {
 	}
 	svc.Instrument(reg)
 	svc.Start()
-	rig.StartBase()
+	rig.Start()
 
 	inj, err := chaos.New(rig.Eng, chaos.Plan{Seed: 7})
 	if err != nil {
@@ -70,13 +71,8 @@ func newObservedRig(t *testing.T) (*Rig, *obs.Registry, *obs.Journal) {
 	budget := spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, spec.Rows)
 	for r := 0; r < spec.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, 20)
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
 		domains[r] = core.Domain{
-			Name: fmt.Sprintf("row/%d", r), Servers: ids, BudgetW: budget,
-			Kr: DefaultKr,
+			Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r), BudgetW: budget,
 		}
 	}
 	ctl, err := core.New(rig.Eng, inj.WrapReader(rig.Mon), inj.WrapAPI(rig.Sched),
@@ -159,7 +155,7 @@ func TestFullRigMetricsCoverage(t *testing.T) {
 
 	// The empty-plan injector must be a pure pass-through: identical rig,
 	// no wrappers, same seed → identical controller decisions.
-	plain, err := NewRig(RigConfig{
+	plain, err := stack.New(stack.Config{
 		Seed:    7,
 		Cluster: rig.Cluster.Spec,
 		Products: []workload.Product{workload.DefaultProduct("mixed",
@@ -170,16 +166,12 @@ func TestFullRigMetricsCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.StartBase()
+	plain.Start()
 	budget := rig.Cluster.Spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, 2)
 	for r := 0; r < 2; r++ {
-		ids := make([]cluster.ServerID, 0, 20)
-		for _, sv := range plain.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: ids,
-			BudgetW: budget, Kr: DefaultKr}
+		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: plain.Cluster.RowIDs(r),
+			BudgetW: budget}
 	}
 	pctl, err := core.New(plain.Eng, plain.Mon, plain.Sched, core.DefaultConfig(), domains)
 	if err != nil {

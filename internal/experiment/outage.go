@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/capping"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -96,7 +95,7 @@ func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
 	row := rig.Cluster.Row(0)
 	rowBudget := ctrl.ExpBudgetW + ctrl.CtrlBudgetW
 
-	rig.StartBase()
+	rig.Start()
 	if err := rig.Run(sim.Time(cfg.Warmup + cfg.Pretrain)); err != nil {
 		return nil, err
 	}
@@ -149,16 +148,8 @@ func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]cluster.ServerID, len(row))
-		for i, sv := range row {
-			ids[i] = sv.ID
-		}
-		kr := cfg.Kr
-		if kr == 0 {
-			kr = DefaultKr
-		}
 		controller, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
-			[]core.Domain{{Name: "row/0", Servers: ids, BudgetW: rowBudget, Kr: kr, Et: et}})
+			[]core.Domain{{Name: "row/0", Servers: rig.Cluster.RowIDs(0), BudgetW: rowBudget, Kr: cfg.Kr, Et: et}})
 		if err != nil {
 			return nil, err
 		}

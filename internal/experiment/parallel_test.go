@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -64,13 +65,14 @@ func TestAblationOutputByteIdenticalAcrossWorkers(t *testing.T) {
 
 // newScrapedRig builds a small rig with its own registry, the isolation
 // unit of the concurrency audit below.
-func newScrapedRig(t *testing.T, seed uint64) (*Rig, *obs.Registry) {
+func newScrapedRig(t *testing.T, seed uint64) (*stack.Stack, *obs.Registry) {
 	t.Helper()
-	spec := quickRowSpec(2, 40)
-	perServer := workload.RateForPowerFraction(0.7, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("shared", perServer*float64(spec.TotalServers()))
-	rig, err := NewRig(RigConfig{Seed: seed, Cluster: spec, Products: []workload.Product{prod}})
+	spec, err := stack.RowSpec(2, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := workload.DefaultProduct("shared", stack.PerServerRate(spec, 0.7)*float64(spec.TotalServers()))
+	rig, err := stack.New(stack.Config{Seed: seed, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +121,12 @@ func TestNoCrossRigMetricBleedUnderParallelScrape(t *testing.T) {
 	defer srv.Close()
 
 	spans := []sim.Duration{30 * sim.Minute, 60 * sim.Minute}
-	rigs := []*Rig{rigA, rigB}
+	rigs := []*stack.Stack{rigA, rigB}
 	units := make([]runner.Unit[int64], 2)
 	for i := range units {
 		i := i
 		units[i] = runner.Unit[int64]{Name: []string{"rig-a", "rig-b"}[i], Run: func() (int64, error) {
-			rigs[i].StartBase()
+			rigs[i].Start()
 			if err := rigs[i].Run(sim.Time(spans[i])); err != nil {
 				return 0, err
 			}

@@ -9,85 +9,10 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/monitor"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/tsdb"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
-
-// Rig is a fully assembled simulated deployment: cluster, scheduler,
-// workload generator, TSDB and power monitor, all driven by one engine.
-type Rig struct {
-	Eng     *sim.Engine
-	Cluster *cluster.Cluster
-	Sched   *scheduler.Scheduler
-	DB      *tsdb.DB
-	Mon     *monitor.Monitor
-	Gen     *workload.Generator
-	Seed    uint64
-}
-
-// RigConfig assembles a Rig.
-type RigConfig struct {
-	Seed     uint64
-	Cluster  cluster.Spec
-	Products []workload.Product
-	// ProductWeights[p] is the row-affinity vector for product p; nil
-	// entries mean uniform.
-	ProductWeights [][]float64
-	Durations      workload.DurationDist
-	Policy         scheduler.Policy
-	// Retention bounds TSDB series length (0 = unlimited).
-	Retention int
-	// StoreServerSeries records per-server history in the TSDB.
-	StoreServerSeries bool
-	// MonitorDropRate injects monitor sweep failures (see monitor.Config).
-	MonitorDropRate float64
-}
-
-// NewRig builds and wires all components. Nothing is started; call
-// StartBase (and any controller/capper) before running the engine, starting
-// the monitor first so each minute's samples deterministically precede their
-// consumers.
-func NewRig(cfg RigConfig) (*Rig, error) {
-	eng := sim.NewEngine()
-	c, err := cluster.New(cfg.Cluster, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sched := scheduler.New(eng, c, cfg.Seed, cfg.Policy)
-	if cfg.ProductWeights != nil {
-		sched.SetProductWeights(cfg.ProductWeights)
-	}
-	db := tsdb.New(cfg.Retention)
-	mcfg := monitor.DefaultConfig()
-	mcfg.StoreServerSeries = cfg.StoreServerSeries
-	mcfg.SweepDropRate = cfg.MonitorDropRate
-	mcfg.DropSeed = cfg.Seed
-	mon, err := monitor.New(eng, c, db, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	dd := cfg.Durations
-	if dd == (workload.DurationDist{}) {
-		dd = workload.DefaultDurations()
-	}
-	gen, err := workload.NewGenerator(eng, cfg.Seed, cfg.Products, dd, sched.Submit)
-	if err != nil {
-		return nil, err
-	}
-	return &Rig{Eng: eng, Cluster: c, Sched: sched, DB: db, Mon: mon, Gen: gen, Seed: cfg.Seed}, nil
-}
-
-// StartBase starts the monitor and then the workload generator.
-func (r *Rig) StartBase() {
-	r.Mon.Start()
-	r.Gen.Start()
-}
-
-// Run advances the simulation to the given absolute time.
-func (r *Rig) Run(until sim.Time) error { return r.Eng.RunUntil(until) }
 
 // Groups is the §4.1.2 controlled-experiment split of one server population
 // into two statistically identical virtual groups.
@@ -125,7 +50,7 @@ type Group struct {
 // Tracker records per-monitor-sample group power, throughput and arbitrary
 // probe values, giving experiments minute-resolution series to analyze.
 type Tracker struct {
-	rig        *Rig
+	rig        *stack.Stack
 	groups     []Group
 	idToGroup  map[cluster.ServerID]int
 	times      []sim.Time
@@ -144,10 +69,10 @@ type probe struct {
 	fn   func() float64
 }
 
-// NewTracker attaches a tracker to the rig's monitor and scheduler. Create
+// NewTracker attaches a tracker to the stack's monitor and scheduler. Create
 // it before starting the rig so the first sample is captured. Placement
 // attribution silently ignores servers outside all groups.
-func NewTracker(rig *Rig, groups []Group) (*Tracker, error) {
+func NewTracker(rig *stack.Stack, groups []Group) (*Tracker, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("experiment: tracker needs at least one group")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -40,7 +41,7 @@ func TestControlledGroupsAreStatisticallyIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(30 * sim.Hour)); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTrackerThroughputAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(2 * sim.Hour)); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFreezeTopAndUnfreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(30 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestTrackerProbe(t *testing.T) {
 	}
 	calls := 0
 	ctrl.Tracker.AddProbe("counter", func() float64 { calls++; return float64(calls) })
-	ctrl.Rig.StartBase()
+	ctrl.Rig.Start()
 	if err := ctrl.Rig.Run(sim.Time(5 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestTrackerProbe(t *testing.T) {
 }
 
 func TestTrackerValidation(t *testing.T) {
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:     1,
 		Cluster:  quickSpec(),
 		Products: []workload.Product{workload.DefaultProduct("a", 10)},
@@ -214,4 +215,20 @@ func quickSpec() cluster.Spec {
 	sp := cluster.DefaultSpec()
 	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 1, 1, 4
 	return sp
+}
+
+// TestRowWidthNotWholeRacksRejected: row widths that are not a whole number
+// of racks are errors. Truncating them would build narrower rows than the
+// config names, and index service hosts past the row's end.
+func TestRowWidthNotWholeRacksRejected(t *testing.T) {
+	gs := QuickGridstorm()
+	gs.RowServers = 90
+	if _, err := RunGridstorm(gs); err == nil {
+		t.Error("gridstorm accepted 90-server rows")
+	}
+	fs := QuickFig11Scale()
+	fs.RowServers, fs.ServicePerRow = 90, 90
+	if _, err := RunFig11Scale(fs); err == nil {
+		t.Error("fig11scale accepted 90-server rows")
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -80,16 +81,17 @@ func runScaleOnce(cfg ScaleConfig, rows int) (*ScaleRow, error) {
 	if rows < 1 {
 		return nil, fmt.Errorf("experiment: row count must be ≥1")
 	}
-	spec := quickRowSpec(rows, 400)
-	perServer := workload.RateForPowerFraction(cfg.TargetFrac, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("shared", perServer*float64(spec.TotalServers()))
-
-	rig, err := NewRig(RigConfig{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
+	spec, err := stack.RowSpec(rows, 400)
 	if err != nil {
 		return nil, err
 	}
-	rig.StartBase()
+	prod := workload.DefaultProduct("shared", stack.PerServerRate(spec, cfg.TargetFrac)*float64(spec.TotalServers()))
+
+	rig, err := stack.New(stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
+	if err != nil {
+		return nil, err
+	}
+	rig.Start()
 	if err := rig.Run(sim.Time(cfg.Warmup)); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/capping"
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -30,7 +31,7 @@ func runChaosSoak(t *testing.T, seed uint64) {
 	spec.ServersPerRack = 10 // 40 servers
 	prod := workload.DefaultProduct("chaos", 120)
 	prod.MaxContainers = 4 // exercise gang scheduling
-	rig, err := NewRig(RigConfig{Seed: seed, Cluster: spec, Products: []workload.Product{prod}})
+	rig, err := stack.New(stack.Config{Seed: seed, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func runChaosSoak(t *testing.T, seed uint64) {
 		}
 	})
 
-	rig.StartBase()
+	rig.Start()
 	capper.Start()
 	if err := rig.Run(sim.Time(3 * sim.Hour)); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -22,16 +23,14 @@ func TestTraceRecordReplay(t *testing.T) {
 	servers := spec.TotalServers()
 
 	// --- Record: a diurnal day on a single row.
-	perServer := workload.RateForPowerFraction(0.78, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("source", perServer*float64(servers))
+	prod := workload.DefaultProduct("source", stack.PerServerRate(spec, 0.78)*float64(servers))
 	prod.DiurnalAmplitude = 0.35
 	prod.SurgeProb = 0 // keep the source smooth so the comparison is crisp
-	src, err := NewRig(RigConfig{Seed: 1, Cluster: spec, Products: []workload.Product{prod}})
+	src, err := stack.New(stack.Config{Seed: 1, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.StartBase()
+	src.Start()
 	warmup, span := sim.Time(sim.Hour), sim.Time(12*sim.Hour)
 	if err := src.Run(warmup + span); err != nil {
 		t.Fatal(err)
@@ -44,16 +43,16 @@ func TestTraceRecordReplay(t *testing.T) {
 	// --- Convert to a rate schedule and replay in a fresh rig with a
 	// different seed (different jobs, same demand trajectory).
 	sched, err := trace.RateSchedule(tr.Series(0), servers, spec,
-		truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
+		stack.MeanJobMinutes(), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayProd := workload.Product{Name: "replay", Schedule: sched, ScheduleStart: warmup}
-	dst, err := NewRig(RigConfig{Seed: 2, Cluster: spec, Products: []workload.Product{replayProd}})
+	dst, err := stack.New(stack.Config{Seed: 2, Cluster: spec, Products: []workload.Product{replayProd}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.StartBase()
+	dst.Start()
 	if err := dst.Run(warmup + span); err != nil {
 		t.Fatal(err)
 	}

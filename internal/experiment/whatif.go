@@ -35,12 +35,10 @@ func GridstormBuilder(cfg GridstormConfig, ramped bool) whatif.Builder {
 		for r := 0; r < cfg.Rows; r++ {
 			breakers[r] = whatif.NamedBreaker{Name: fmt.Sprintf("row%d", r), B: st.breakers[r]}
 		}
-		return &whatif.Instance{
-			Eng:      st.rig.Eng,
+		inst := &whatif.Instance{
+			Stack:    st.rig,
 			Journal:  journal,
 			Ctl:      st.ctl,
-			Cluster:  st.rig.Cluster,
-			Mon:      st.rig.Mon,
 			Breakers: breakers,
 			End:      st.endT,
 			Interval: sim.Minute,
@@ -49,25 +47,17 @@ func GridstormBuilder(cfg GridstormConfig, ramped bool) whatif.Builder {
 				st.regime, cfg.Seed, cfg.Rows, cfg.RowServers, cfg.TargetFrac, cfg.BudgetFrac,
 				cfg.CurtailedFrac, cfg.DipDepth, int64(cfg.DipLen/sim.Minute), cfg.RampMinutes,
 				cfg.TripOverloadSeconds),
-			RunUntil: st.rig.Run,
-			KPIs: func() map[string]float64 {
-				s := st.rig.Sched.Stats()
-				kpis := map[string]float64{
-					"jobs_submitted": float64(s.Submitted),
-					"jobs_placed":    float64(s.Placed),
-					"jobs_completed": float64(s.Completed),
-					"jobs_queued":    float64(s.Queued),
-					"jobs_overflow":  float64(s.Overflowed),
-					"jobs_killed":    float64(s.Killed),
+		}
+		if st.svc != nil {
+			inst.KPIs = func() map[string]float64 {
+				return map[string]float64{
+					"service_requests":     float64(st.svc.TotalServed()),
+					"service_p999_us":      st.svc.AggregateLatencyQuantileUS(0.999),
+					"service_slo_miss_pct": st.svc.TotalSLOMissRate() * 100,
 				}
-				if st.svc != nil {
-					kpis["service_requests"] = float64(st.svc.TotalServed())
-					kpis["service_p999_us"] = st.svc.AggregateLatencyQuantileUS(0.999)
-					kpis["service_slo_miss_pct"] = st.svc.TotalSLOMissRate() * 100
-				}
-				return kpis
-			},
-		}, nil
+			}
+		}
+		return inst, nil
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -34,14 +33,9 @@ import (
 	"repro/internal/runner"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/tsdb"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
-
-// calibratedKr mirrors experiment.DefaultKr — the control-effect gradient
-// measured by the Fig 5 calibration — without importing the experiment
-// package (which imports this one for the federated scale run).
-const calibratedKr = 0.012
 
 // DCSpec describes one data center shard.
 type DCSpec struct {
@@ -68,13 +62,28 @@ type DCSpec struct {
 	ReservePerServer int
 }
 
+// Coordinator tuning.
+const (
+	// epochLen is the lockstep advance quantum: one minute, matching the
+	// controllers' interval, so every epoch barrier is a federated tick.
+	epochLen = sim.Minute
+	// margin is the demand headroom the coordinator grants above observed
+	// power when computing a DC's wanted budget.
+	margin = 0.08
+	// floorFrac and capFrac bound a DC's allocation to [floorFrac,
+	// capFrac]×base; capFrac stays below the SetBudget validation ceiling
+	// (2.0×base).
+	floorFrac, capFrac = 0.6, 1.5
+	// maxShiftFrac bounds one reallocation's move to that fraction of a
+	// DC's base budget — the coordinator is a slow outer loop, not a second
+	// fast controller.
+	maxShiftFrac = 0.10
+)
+
 // Config assembles a Federation.
 type Config struct {
 	Seed uint64
 	DCs  []DCSpec
-	// Epoch is the lockstep advance quantum (default one minute, matching
-	// the controllers' interval: every epoch barrier is a federated tick).
-	Epoch sim.Duration
 	// CadenceEpochs is the coordinator's reallocation period (default 15).
 	CadenceEpochs int
 	// DelayEpochs is the one-way WAN delay, in epochs, applied to telemetry
@@ -85,42 +94,16 @@ type Config struct {
 	Workers int
 	// CtlParallel is passed to each DC controller's plan-phase fan-out.
 	CtlParallel int
-	// Margin is the demand headroom the coordinator grants above observed
-	// power when computing a DC's wanted budget (default 0.08).
-	Margin float64
-	// FloorFrac / CapFrac bound a DC's allocation to [FloorFrac,
-	// CapFrac]×base. CapFrac must stay below the SetBudget validation
-	// ceiling (2.0×base); default 0.6 / 1.5.
-	FloorFrac, CapFrac float64
-	// MaxShiftFrac bounds one reallocation's move to that fraction of a
-	// DC's base budget (default 0.10) — the coordinator is a slow outer
-	// loop, not a second fast controller.
-	MaxShiftFrac float64
 	// Retention bounds each DC's TSDB series length (0 = unlimited).
 	Retention int
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.Epoch == 0 {
-		cfg.Epoch = sim.Minute
-	}
 	if cfg.CadenceEpochs == 0 {
 		cfg.CadenceEpochs = 15
 	}
 	if cfg.DelayEpochs == 0 {
 		cfg.DelayEpochs = 2
-	}
-	if cfg.Margin == 0 {
-		cfg.Margin = 0.08
-	}
-	if cfg.FloorFrac == 0 {
-		cfg.FloorFrac = 0.6
-	}
-	if cfg.CapFrac == 0 {
-		cfg.CapFrac = 1.5
-	}
-	if cfg.MaxShiftFrac == 0 {
-		cfg.MaxShiftFrac = 0.10
 	}
 	for i := range cfg.DCs {
 		d := &cfg.DCs[i]
@@ -142,20 +125,10 @@ func (cfg Config) Validate() error {
 	switch {
 	case len(cfg.DCs) == 0:
 		return fmt.Errorf("federate: need at least one DC")
-	case cfg.Epoch <= 0:
-		return fmt.Errorf("federate: non-positive Epoch %v", cfg.Epoch)
 	case cfg.CadenceEpochs < 1:
 		return fmt.Errorf("federate: CadenceEpochs %d must be ≥1", cfg.CadenceEpochs)
 	case cfg.DelayEpochs < 0:
 		return fmt.Errorf("federate: negative DelayEpochs %d", cfg.DelayEpochs)
-	case math.IsNaN(cfg.Margin) || cfg.Margin < 0:
-		return fmt.Errorf("federate: Margin %v must be ≥0", cfg.Margin)
-	case math.IsNaN(cfg.FloorFrac) || cfg.FloorFrac <= 0 || cfg.FloorFrac > 1:
-		return fmt.Errorf("federate: FloorFrac %v outside (0,1]", cfg.FloorFrac)
-	case math.IsNaN(cfg.CapFrac) || cfg.CapFrac < cfg.FloorFrac || cfg.CapFrac >= 2:
-		return fmt.Errorf("federate: CapFrac %v outside [FloorFrac,2) — 2×base is the SetBudget ceiling", cfg.CapFrac)
-	case math.IsNaN(cfg.MaxShiftFrac) || cfg.MaxShiftFrac <= 0 || cfg.MaxShiftFrac > 1:
-		return fmt.Errorf("federate: MaxShiftFrac %v outside (0,1]", cfg.MaxShiftFrac)
 	}
 	seen := make(map[string]bool, len(cfg.DCs))
 	for i, d := range cfg.DCs {
@@ -166,8 +139,9 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("federate: duplicate DC name %q", d.Name)
 		case d.Rows < 1:
 			return fmt.Errorf("federate: DC %q rows %d must be ≥1", d.Name, d.Rows)
-		case d.RowServers <= 0 || d.RowServers%20 != 0:
-			return fmt.Errorf("federate: DC %q row servers %d must be a positive multiple of 20", d.Name, d.RowServers)
+		case d.RowServers <= 0 || d.RowServers%stack.ServersPerRack != 0:
+			return fmt.Errorf("federate: DC %q row servers %d must be a positive multiple of %d",
+				d.Name, d.RowServers, stack.ServersPerRack)
 		case math.IsNaN(d.TargetFrac) || d.TargetFrac <= 0 || d.TargetFrac > 1:
 			return fmt.Errorf("federate: DC %q target frac %v outside (0,1]", d.Name, d.TargetFrac)
 		case math.IsNaN(d.BudgetFrac) || d.BudgetFrac <= 0 || d.BudgetFrac > 1:
@@ -184,15 +158,10 @@ func (cfg Config) Validate() error {
 // shard; only the worker currently holding the shard (or the coordinator,
 // between barriers) may touch it.
 type DC struct {
-	Name    string
-	Spec    cluster.Spec
-	Eng     *sim.Engine
-	Cluster *cluster.Cluster
-	Sched   *scheduler.Scheduler
-	DB      *tsdb.DB
-	Mon     *monitor.Monitor
-	Gen     *workload.Generator
-	Ctl     *core.Controller
+	*stack.Stack
+	Name string
+	Spec cluster.Spec
+	Ctl  *core.Controller
 
 	batch      *scheduler.Batch
 	errScratch []scheduler.BatchError
@@ -274,34 +243,23 @@ func New(cfg Config) (*Federation, error) {
 		telem:  make([][]Telemetry, len(cfg.DCs)),
 	}
 	for i, d := range cfg.DCs {
-		dcSeed := sim.SubSeed(cfg.Seed, "dc/"+d.Name)
-		spec := cluster.DefaultSpec()
-		spec.ServersPerRack = 20
-		spec.RacksPerRow = d.RowServers / spec.ServersPerRack
-		spec.Rows = d.Rows
-
-		eng := sim.NewEngine()
-		c, err := cluster.New(spec, dcSeed)
+		spec, err := stack.RowSpec(d.Rows, d.RowServers)
 		if err != nil {
 			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
 		}
-		sched := scheduler.New(eng, c, dcSeed, nil)
-		db := tsdb.New(cfg.Retention)
-		mon, err := monitor.New(eng, c, db, monitor.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
-		}
-		perServer := workload.RateForPowerFraction(d.TargetFrac, spec.IdlePowerW, spec.RatedPowerW,
-			spec.Containers, truncatedMeanMinutes(), 1.0)
-		product := workload.DefaultProduct(d.Name, perServer*float64(spec.TotalServers()))
+		product := workload.DefaultProduct(d.Name, stack.PerServerRate(spec, d.TargetFrac)*float64(spec.TotalServers()))
 		if d.PeakHour > 0 {
 			product.PeakHour = d.PeakHour
 		}
 		if d.DiurnalAmplitude > 0 {
 			product.DiurnalAmplitude = d.DiurnalAmplitude
 		}
-		gen, err := workload.NewGenerator(eng, dcSeed, []workload.Product{product},
-			workload.DefaultDurations(), sched.Submit)
+		sk, err := stack.New(stack.Config{
+			Seed:      sim.SubSeed(cfg.Seed, "dc/"+d.Name),
+			Cluster:   spec,
+			Products:  []workload.Product{product},
+			Retention: cfg.Retention,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
 		}
@@ -312,16 +270,12 @@ func New(cfg Config) (*Federation, error) {
 		ccfg.EtWindow = 60
 		domains := make([]core.Domain, d.Rows)
 		for r := 0; r < d.Rows; r++ {
-			ids := make([]cluster.ServerID, 0, spec.ServersPerRow())
-			for _, sv := range c.Row(r) {
-				ids = append(ids, sv.ID)
-			}
 			domains[r] = core.Domain{
-				Name: monitor.SeriesRow(r), Servers: ids,
-				BudgetW: baseDC / float64(d.Rows), Kr: calibratedKr,
+				Name: monitor.SeriesRow(r), Servers: sk.Cluster.RowIDs(r),
+				BudgetW: baseDC / float64(d.Rows),
 			}
 		}
-		ctl, err := core.New(eng, mon, sched, ccfg, domains)
+		ctl, err := core.New(sk.Eng, sk.Mon, sk.Sched, ccfg, domains)
 		if err != nil {
 			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
 		}
@@ -329,12 +283,10 @@ func New(cfg Config) (*Federation, error) {
 		// is stepped by the coordinator at each epoch barrier (the federated
 		// tick), which reproduces the monitor-before-controller ordering a
 		// same-engine Start() would give.
-		mon.Start()
-		gen.Start()
+		sk.Start()
 
-		dc := &DC{Name: d.Name, Spec: spec, Eng: eng, Cluster: c, Sched: sched,
-			DB: db, Mon: mon, Gen: gen, Ctl: ctl, rows: d.Rows}
-		dc.batch = sched.NewBatch()
+		dc := &DC{Stack: sk, Name: d.Name, Spec: spec, Ctl: ctl, rows: d.Rows}
+		dc.batch = sk.Sched.NewBatch()
 		f.DCs = append(f.DCs, dc)
 		f.base[i], f.alloc[i], f.target[i] = baseDC, baseDC, baseDC
 	}
@@ -429,7 +381,7 @@ func (f *Federation) Advance(epochs int) ([]ShardError, error) {
 		if err := f.applyDueCommands(); err != nil {
 			return errs, err
 		}
-		f.until = sim.Time(f.epoch+1) * sim.Time(f.cfg.Epoch)
+		f.until = sim.Time(f.epoch+1) * sim.Time(epochLen)
 
 		f.phase = phaseAdvance
 		f.loop.Run(f.workers(), len(f.DCs))
@@ -507,9 +459,9 @@ func (f *Federation) applyDueCommands() error {
 
 // reallocate is the coordinator's water-fill over the shared budget pool
 // (Σ base). Each DC wants its WAN-delayed observed power plus margin,
-// clamped to [FloorFrac, CapFrac]×base; leftovers are returned pro rata to
+// clamped to [floorFrac, capFrac]×base; leftovers are returned pro rata to
 // base, deficits scale every DC's above-floor ask by a common ratio. The
-// per-cadence move is clamped to MaxShiftFrac×base and the result never
+// per-cadence move is clamped to maxShiftFrac×base and the result never
 // exceeds the pool, so the coordinator conserves total provisioned power
 // while chasing the diurnal peaks around the planet.
 func (f *Federation) reallocate() {
@@ -521,8 +473,8 @@ func (f *Federation) reallocate() {
 	pool, sumFloor, sumWant := 0.0, 0.0, 0.0
 	want := make([]float64, n)
 	for d := 0; d < n; d++ {
-		floor, cap := f.cfg.FloorFrac*f.base[d], f.cfg.CapFrac*f.base[d]
-		w := f.telem[d][src].PowerW * (1 + f.cfg.Margin)
+		floor, cap := floorFrac*f.base[d], capFrac*f.base[d]
+		w := f.telem[d][src].PowerW * (1 + margin)
 		w = math.Min(math.Max(w, floor), cap)
 		want[d] = w
 		pool += f.base[d]
@@ -534,7 +486,7 @@ func (f *Federation) reallocate() {
 		left := pool - sumWant
 		for d := 0; d < n; d++ {
 			add := left * f.base[d] / pool
-			if max := f.cfg.CapFrac*f.base[d] - want[d]; add > max {
+			if max := capFrac*f.base[d] - want[d]; add > max {
 				add = max
 			}
 			alloc[d] = want[d] + add
@@ -542,13 +494,13 @@ func (f *Federation) reallocate() {
 	} else {
 		ratio := (pool - sumFloor) / (sumWant - sumFloor)
 		for d := 0; d < n; d++ {
-			floor := f.cfg.FloorFrac * f.base[d]
+			floor := floorFrac * f.base[d]
 			alloc[d] = floor + ratio*(want[d]-floor)
 		}
 	}
 	sum := 0.0
 	for d := 0; d < n; d++ {
-		if shift := f.cfg.MaxShiftFrac * f.base[d]; math.Abs(alloc[d]-f.target[d]) > shift {
+		if shift := maxShiftFrac * f.base[d]; math.Abs(alloc[d]-f.target[d]) > shift {
 			if alloc[d] > f.target[d] {
 				alloc[d] = f.target[d] + shift
 			} else {
@@ -583,8 +535,8 @@ func (f *Federation) ShiftBudget(from, to int, watts float64) (float64, error) {
 	if math.IsNaN(watts) || watts <= 0 {
 		return 0, fmt.Errorf("federate: ShiftBudget of %v watts", watts)
 	}
-	give := math.Min(watts, f.target[from]-f.cfg.FloorFrac*f.base[from])
-	take := math.Min(give, f.cfg.CapFrac*f.base[to]-f.target[to])
+	give := math.Min(watts, f.target[from]-floorFrac*f.base[from])
+	take := math.Min(give, capFrac*f.base[to]-f.target[to])
 	if take <= 0 {
 		return 0, nil
 	}
@@ -652,18 +604,3 @@ func (f *Federation) Fingerprint() string {
 	}
 	return b.String()
 }
-
-// truncatedMeanMinutes estimates the default duration distribution's
-// truncated mean by fixed-seed Monte Carlo, memoized — the same calibration
-// the experiment package uses, reproduced here to keep the import direction
-// experiment→federate.
-var truncatedMeanMinutes = sync.OnceValue(func() float64 {
-	r := sim.NewRNG(0x7ca11b)
-	const n = 200000
-	dd := workload.DefaultDurations()
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += dd.Sample(r).Minutes()
-	}
-	return sum / n
-})

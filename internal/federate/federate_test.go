@@ -236,8 +236,8 @@ func TestConfigValidation(t *testing.T) {
 		{DCs: []DCSpec{{Name: "a", Rows: 1, RowServers: 30}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1, TargetFrac: 1.5}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1, ReservePerServer: -1}}},
-		{DCs: []DCSpec{{Name: "a", Rows: 1}}, CapFrac: 2.5},
-		{DCs: []DCSpec{{Name: "a", Rows: 1}}, FloorFrac: 1.2},
+		{DCs: []DCSpec{{Name: "a", Rows: 1}}, CadenceEpochs: -1},
+		{DCs: []DCSpec{{Name: "a", Rows: 1}}, DelayEpochs: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

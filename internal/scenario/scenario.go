@@ -12,11 +12,11 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/capping"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -102,8 +102,8 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.Rows <= 0:
 		return fmt.Errorf("scenario: rows %d must be positive", s.Rows)
-	case s.RowServers <= 0 || s.RowServers%20 != 0:
-		return fmt.Errorf("scenario: row_servers %d must be a positive multiple of 20", s.RowServers)
+	case s.RowServers <= 0 || s.RowServers%stack.ServersPerRack != 0:
+		return fmt.Errorf("scenario: row_servers %d must be a positive multiple of %d", s.RowServers, stack.ServersPerRack)
 	case s.Hours <= 0:
 		return fmt.Errorf("scenario: hours %d must be positive", s.Hours)
 	case s.RO < 0:
@@ -170,7 +170,7 @@ func pickRowChooser(name string) (scheduler.RowChooser, error) {
 // Built is an assembled, not-yet-run scenario.
 type Built struct {
 	Spec       *Spec
-	Rig        *experiment.Rig
+	Rig        *stack.Stack
 	Tracker    *experiment.Tracker
 	Controller *core.Controller
 	Capper     *capping.Capper
@@ -190,10 +190,10 @@ func (s *Spec) Build() (*Built, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	spec := cluster.DefaultSpec()
-	spec.Rows = s.Rows
-	spec.ServersPerRack = 20
-	spec.RacksPerRow = s.RowServers / spec.ServersPerRack
+	spec, err := stack.RowSpec(s.Rows, s.RowServers)
+	if err != nil {
+		return nil, err
+	}
 
 	meanDur := workload.DefaultDurations().Mean() * 0.95
 	var products []workload.Product
@@ -233,7 +233,7 @@ func (s *Spec) Build() (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:           s.Seed,
 		Cluster:        spec,
 		Products:       products,
@@ -253,14 +253,8 @@ func (s *Spec) Build() (*Built, error) {
 
 	budget := spec.RowRatedPowerW() / (1 + s.RO)
 	groups := make([]experiment.Group, s.Rows)
-	rowIDs := make([][]cluster.ServerID, s.Rows)
 	for r := 0; r < s.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, s.RowServers)
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		rowIDs[r] = ids
-		groups[r] = experiment.Group{Name: fmt.Sprintf("row/%d", r), IDs: ids, BudgetW: budget}
+		groups[r] = experiment.Group{Name: fmt.Sprintf("row/%d", r), IDs: rig.Cluster.RowIDs(r), BudgetW: budget}
 	}
 	tracker, err := experiment.NewTracker(rig, groups)
 	if err != nil {
@@ -274,14 +268,10 @@ func (s *Spec) Build() (*Built, error) {
 	}
 
 	if s.Ampere {
-		kr := s.Kr
-		if kr == 0 {
-			kr = experiment.DefaultKr
-		}
 		domains := make([]core.Domain, s.Rows)
 		for r := 0; r < s.Rows; r++ {
 			domains[r] = core.Domain{
-				Name: fmt.Sprintf("row/%d", r), Servers: rowIDs[r], BudgetW: budget, Kr: kr,
+				Name: fmt.Sprintf("row/%d", r), Servers: groups[r].IDs, BudgetW: budget, Kr: s.Kr,
 				Schedule: s.compileBudgetSchedule(r, budget, b.warmup),
 			}
 		}
@@ -316,7 +306,7 @@ func (s *Spec) Build() (*Built, error) {
 			if err != nil {
 				return nil, err
 			}
-			ids := rowIDs[r]
+			ids := groups[r].IDs
 			theBrk := brk
 			brk.OnTrip(func(sim.Time) {
 				b.Trips++
@@ -351,7 +341,7 @@ func (s *Spec) Build() (*Built, error) {
 // Run starts everything in deterministic order and advances through warmup
 // plus the measured hours.
 func (b *Built) Run() error {
-	b.Rig.StartBase()
+	b.Rig.Start()
 	if b.Controller != nil {
 		b.Controller.Start()
 	}

@@ -54,7 +54,8 @@ type Result struct {
 	Events  []obs.Event
 	Evicted uint64
 	// TrippedBreakers lists breaker domains left open at End, in breaker
-	// order; KPIs holds the instance's scenario scalars.
+	// order; KPIs holds the six jobs_* scheduler counters plus the
+	// instance's own scenario scalars.
 	TrippedBreakers []string
 	KPIs            map[string]float64
 	// Elapsed is the wall-clock replay cost.
@@ -114,7 +115,7 @@ func (e *Engine) runInner(at sim.Time, patch core.PolicyPatch, expect *Snapshot)
 	// stop one millisecond short; control ticks land on whole intervals, so
 	// at-1ms holds no events of its own. at == 0 captures genesis untouched.
 	if at > 0 {
-		if err := inst.RunUntil(at - 1); err != nil {
+		if err := inst.Stack.Run(at - 1); err != nil {
 			return nil, fmt.Errorf("whatif: fast-forward to %v: %w", at, err)
 		}
 	}
@@ -129,7 +130,7 @@ func (e *Engine) runInner(at sim.Time, patch core.PolicyPatch, expect *Snapshot)
 			return nil, err
 		}
 	}
-	if err := inst.RunUntil(inst.End); err != nil {
+	if err := inst.Stack.Run(inst.End); err != nil {
 		return nil, fmt.Errorf("whatif: replay to %v: %w", inst.End, err)
 	}
 
@@ -144,8 +145,19 @@ func (e *Engine) runInner(at sim.Time, patch core.PolicyPatch, expect *Snapshot)
 			res.TrippedBreakers = append(res.TrippedBreakers, nb.Name)
 		}
 	}
+	s := inst.Stack.Sched.Stats()
+	res.KPIs = map[string]float64{
+		"jobs_submitted": float64(s.Submitted),
+		"jobs_placed":    float64(s.Placed),
+		"jobs_completed": float64(s.Completed),
+		"jobs_queued":    float64(s.Queued),
+		"jobs_overflow":  float64(s.Overflowed),
+		"jobs_killed":    float64(s.Killed),
+	}
 	if inst.KPIs != nil {
-		res.KPIs = inst.KPIs()
+		for k, v := range inst.KPIs() {
+			res.KPIs[k] = v
+		}
 	}
 	return res, nil
 }

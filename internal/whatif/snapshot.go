@@ -24,6 +24,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // Snapshot captures the mutable control-plane state at a tick boundary: the
@@ -64,11 +65,11 @@ type NamedBreaker struct {
 // it; the builder owns all construction-time wiring (workload, chaos,
 // controller, breakers, journal instrumentation).
 type Instance struct {
-	Eng     *sim.Engine
+	// Stack is the simulated deployment; the engine advances it with
+	// Stack.Run and reads its cluster, monitor and scheduler.
+	Stack   *stack.Stack
 	Journal *obs.Journal
 	Ctl     *core.Controller
-	Cluster *cluster.Cluster
-	Mon     *monitor.Monitor
 	// Breakers lists the per-domain breakers in a fixed (domain) order.
 	Breakers []NamedBreaker
 	// End is where the scenario naturally stops; Interval is the control
@@ -79,11 +80,9 @@ type Instance struct {
 	// scenario — they gate snapshot/builder compatibility.
 	Seed      uint64
 	ConfigTag string
-	// RunUntil advances the simulation to t (usually Engine.RunUntil, but a
-	// rig may wrap it).
-	RunUntil func(t sim.Time) error
-	// KPIs, when non-nil, returns scenario scalars (e.g. scheduler job
-	// counters) folded into the diff report. Keys must be deterministic.
+	// KPIs, when non-nil, returns scenario scalars beyond the six jobs_*
+	// scheduler counters the engine always reports, folded into the diff
+	// report. Keys must be deterministic.
 	KPIs func() map[string]float64
 }
 
@@ -103,8 +102,8 @@ func Capture(inst *Instance, at sim.Time) *Snapshot {
 		ConfigTag:  inst.ConfigTag,
 		JournalSeq: inst.Journal.Total(),
 		Domains:    inst.Ctl.ExportState(),
-		Servers:    inst.Cluster.ExportState(),
-		Monitor:    inst.Mon.ExportState(),
+		Servers:    inst.Stack.Cluster.ExportState(),
+		Monitor:    inst.Stack.Mon.ExportState(),
 	}
 	snap.Breakers = make([]BreakerSnapshot, len(inst.Breakers))
 	for i, nb := range inst.Breakers {

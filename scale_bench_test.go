@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/federate"
 	"repro/internal/monitor"
 	"repro/internal/scheduler"
@@ -225,7 +224,7 @@ func benchControllerTick(b *testing.B, rows, workers int) {
 		}
 		domains[r] = core.Domain{
 			Name: monitor.SeriesRow(r), Servers: ids,
-			BudgetW: budget, Kr: experiment.DefaultKr, Et: et,
+			BudgetW: budget, Et: et,
 		}
 	}
 	ctl, err := core.New(eng, mon, s, cfg, domains)

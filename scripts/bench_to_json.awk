@@ -6,10 +6,22 @@
 # appears more than once (go test -count=N), the repetition with the lowest
 # ns/op wins: the minimum is the run least disturbed by scheduler noise,
 # which keeps the regression gate stable on shared/virtualized machines.
-# Stdlib awk only — the repo takes no dependencies for this.
+# The first record is the machine stamp: goos, goarch and CPU model from the
+# `go test` header, plus nproc and commit when passed with -v (they default
+# to "unknown"). Stdlib awk only — the repo takes no dependencies for this.
 #
-#   go test -bench 'BenchmarkScale' -count=3 -benchmem . | awk -f scripts/bench_to_json.awk
-BEGIN { n = 0 }
+#   go test -bench 'BenchmarkScale' -count=3 -benchmem . |
+#       awk -v nproc="$(getconf _NPROCESSORS_ONLN)" \
+#           -v commit="$(git describe --always --dirty)" -f scripts/bench_to_json.awk
+function jstr(s) {
+    gsub(/\\/, "\\\\", s)
+    gsub(/"/, "\\\"", s)
+    return "\"" s "\""
+}
+BEGIN { n = 0; goos = goarch = cpu = "unknown" }
+/^goos: / { goos = substr($0, 7) }
+/^goarch: / { goarch = substr($0, 9) }
+/^cpu: / { cpu = substr($0, 6) }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name) # strip the -GOMAXPROCS suffix
@@ -32,6 +44,9 @@ BEGIN { n = 0 }
 }
 END {
     print "["
+    printf "  {\"stamp\":{\"goos\":%s,\"goarch\":%s,\"cpu\":%s,\"nproc\":%s,\"commit\":%s}}%s\n",
+        jstr(goos), jstr(goarch), jstr(cpu), jstr(nproc == "" ? "unknown" : nproc),
+        jstr(commit == "" ? "unknown" : commit), (n > 0 ? "," : "")
     for (i = 0; i < n; i++)
         printf "%s%s\n", best[order[i]], (i < n - 1 ? "," : "")
     print "]"
